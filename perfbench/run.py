@@ -96,7 +96,7 @@ def print_run(run, spec: dict, trace: bool) -> Dict[str, dict]:
         else:
             print(f"  {label} {scale * t[1]:.6g} {unit} (p{t[0]:g} of {len(samples)} samples)")
     for name, unit in EXTRA_FIGURES[run.workload]:
-        print(f"  {name} {run.figures[name]:.6g} {unit}")
+        print(f"  {name} {run.figures.get(name, 0.0):.6g} {unit}")
     print(f"  error_rate {run.figures['error_rate']:.6g} ratio "
           f"({run.failed} of {run.attempted})")
     for err in run.errors:
@@ -104,19 +104,18 @@ def print_run(run, spec: dict, trace: bool) -> Dict[str, dict]:
     if trace:
         for name in run.tracer.missing:
             print(f"  missing layer: {name}")
-        print(f"  top-level spans / wall {run.layer['trace.coverage']:.4f} "
+        print(f"  top-level spans / wall {run.layer.get('trace.coverage', 0.0):.4f} "
               f"(tolerance {COVERAGE_TOLERANCE:g})")
-    metrics: Dict[str, dict] = {}
-    if trace:
-        for m in spec["per_layer"]:
-            metrics[m["name"]] = {"value": float(run.layer.get(m["name"], 0.0)),
-                                  "unit": m["unit"]}
-    else:
-        for m in spec["end_to_end"]:
-            metrics[m["name"]] = {"value": float(run.figures[m["name"]]), "unit": m["unit"]}
-    for name, m in metrics.items():
+    end_to_end = {m["name"]: {"value": float(run.figures.get(m["name"], 0.0)),
+                              "unit": m["unit"]} for m in spec["end_to_end"]}
+    per_layer = {m["name"]: {"value": float(run.layer.get(m["name"], 0.0)),
+                             "unit": m["unit"]} for m in spec["per_layer"]}
+    # the end-to-end figures are printed by the traced run too, so that
+    # run_all can set its timings against the untraced run's
+    printed = {**end_to_end, **per_layer} if trace else end_to_end
+    for name, m in printed.items():
         print(f"  {name} {m['value']:.6g} {m['unit']}")
-    return metrics
+    return per_layer if trace else end_to_end
 
 
 def run_one(args: argparse.Namespace, workers: int) -> int:
@@ -134,13 +133,25 @@ def run_one(args: argparse.Namespace, workers: int) -> int:
                                  bool(args.trace), os.path.abspath(__file__))
     run.layer["parallel.workers"] = float(effective_workers(workers))
     run.layer["machine.cores"] = float(n_cores)
-    if args.trace and abs(1.0 - run.layer["trace.coverage"]) > COVERAGE_TOLERANCE:
+    if args.trace and abs(1.0 - run.layer.get("trace.coverage", 0.0)) > COVERAGE_TOLERANCE:
         run.fail("top-level spans do not account for wall time")
         run.figures["error_rate"] = run.failed / max(run.attempted, 1)
     metrics = print_run(run, spec, bool(args.trace))
     print(json.dumps({"correct": run.failed == 0, "attempted": run.attempted,
                       "failed": run.failed, "metrics": metrics}))
     return 0 if run.failed == 0 else 1
+
+
+def printed_figure(text: str, name: str) -> Optional[float]:
+    """The value of a ``  name value unit`` line of a run's output."""
+    for ln in text.splitlines():
+        parts = ln.split()
+        if len(parts) == 3 and parts[0] == name:
+            try:
+                return float(parts[1])
+            except ValueError:
+                return None
+    return None
 
 
 def last_json(text: str) -> Optional[dict]:
@@ -160,7 +171,7 @@ def run_all(args: argparse.Namespace) -> int:
     names: List[str] = [w["name"] for w in spec["workloads"]]
     status = 0
     for name in names:
-        results = {}
+        results, outputs = {}, {}
         for trace in (0, 1):
             cmd = [sys.executable, os.path.abspath(__file__), "--workload", name,
                    "--seed", str(args.seed), "--seconds", str(seconds),
@@ -169,11 +180,18 @@ def run_all(args: argparse.Namespace) -> int:
             sys.stdout.write(proc.stdout)
             sys.stdout.flush()
             results[trace] = last_json(proc.stdout)
+            outputs[trace] = proc.stdout
             if proc.returncode != 0:
                 status = 1
         if results[0] and results[1]:
-            ratio = results[1]["metrics"].get("trace.overhead_ratio", {}).get("value")
-            print(f"  {name}: traced run {ratio:.4f}x the untraced time (span cost)")
+            est = results[1]["metrics"].get("trace.overhead_ratio", {}).get("value")
+            print(f"  {name}: estimated span overhead {est:.4f}x (spans x no-op wrapper cost)")
+            for fig in ("setup_s", "build_s"):
+                untraced = results[0]["metrics"].get(fig, {}).get("value")
+                traced = printed_figure(outputs[1], fig)
+                if untraced and traced:
+                    print(f"  {name}: traced/untraced {fig} {traced / untraced:.4f} "
+                          f"({traced:.6g} s / {untraced:.6g} s, one run each)")
     return status
 
 

@@ -4,15 +4,18 @@ Every workload follows one user pipeline through the library's public
 API: read the graph from disk (``setup``), build the structure
 (``build``), then serve, update or rebuild in a closed loop driven by a
 single client that sends its next request only after the previous one
-returned.  The loop runs until the time spent inside requests reaches
-``seconds``; correctness checks run between requests, outside that
-time.
+returned.  On ``serve-rgg`` and ``churn-rgg`` the client sends a fixed
+list of requests, sized so that it takes about ``seconds`` on a 2-core
+x86 VM; the build loops run until the time spent inside builds reaches
+``seconds``.  Correctness checks run between requests, outside the
+measured time.
 
 * ``serve-rgg`` — three :class:`~repro.serve.DistanceServer` replicas,
   each over a hopset of a random geometric graph built with its own
-  seed; requests are ``query_batch`` calls, cycles of them taking turns
-  on the replicas (a run sees three hopsets, whose quality moves query
-  cost from seed to seed).
+  seed; requests are ``benchmarks/bench_serve.py``'s ``query_batch``
+  calls, each served cold and then warm, taking turns on the replicas
+  (a run sees three hopsets, whose quality moves query cost from seed
+  to seed).
 * ``spanner-gnm`` — ``weighted_spanner(k=8)`` on weighted G(n, m);
   requests are builds with fresh seeds.
 * ``churn-rgg`` — a served, repairable hopset under edge churn; the
@@ -70,20 +73,20 @@ CHURN_PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.02, gamma2=0.05)
 SPANNER_K = 8.0
 CTREE_REQUIREMENT = "wellconnected"
 
-# serve-rgg request stream
-SERVE_REPLICAS = 3        # servers, each with its own hopset seed, taking turns
-SERVE_PAIRS = 64          # s-t pairs per query_batch request
-SERVE_POOL = 512          # distinct sources of the streams (a cache holds 128)
-SERVE_STRATIFIED = 24     # the first cold sources, stratified by eccentricity
-SERVE_COLD_EVERY = 4      # every fourth request brings new sources ...
-SERVE_COLD_SOURCES = 2    # ... this many, coalesced into one kernel call
-SERVE_COLD_PAIRS = 8      # pairs per new source in its request
-SERVE_ZIPF = 1.2          # skew over the sources already requested
+# serve-rgg request stream: benchmarks/bench_serve.py's serving traffic
+# (a request of SERVE_BATCH pairs whose sources come from a pool of
+# SERVE_BATCH // 8, uniform targets), each request served cold, then
+# re-served warm, as bench_serve's throughput sweep does
+SERVE_REPLICAS = 3        # servers over the last builds: three hopsets even out quality
+SERVE_BATCH = 16          # a batch of bench_serve's sweep: 2 cold rows a request
+SERVE_ROW_S = 1.25        # measured cost of a cold row (2-core x86 VM); sizes a run
+SERVE_WARM_PASSES = 2     # the fewest that put the median request on cache hits
 SERVE_CHECK_ROWS = 3
 
 # churn-rgg stream
 CHURN_EDGES = 10          # deletes and inserts per fresh batch
 CHURN_HOT = 8             # hot query sources, stratified by eccentricity
+CHURN_STEP_S = 2.3        # an update and a cold query (2-core x86 VM); sizes a run
 CHURN_WALK = 3            # inserts join a vertex to the end of a 3-step walk
 CHURN_DEF24_SOURCES = 3
 
@@ -267,23 +270,28 @@ def setup(run: Run, path: str) -> Any:
     return g
 
 
-def build_server(run: Run, g: Any, build: Callable[..., DistanceServer]) -> DistanceServer:
-    """Build until three builds or five seconds of building, for a
-    steady median ``build_s``; the last build is served."""
+def build_servers(run: Run, g: Any, build: Callable[..., DistanceServer],
+                  keep: int) -> List[DistanceServer]:
+    """Build until five builds, or three and eight seconds of building,
+    each with its own seed, for a steady median ``build_s``; the last
+    ``keep`` builds are served."""
     tracker = pram_tracker(run, g.n)
-    server = None
+    servers: List[DistanceServer] = []
     while True:
-        server = None  # free the previous structure before the next build
-        server, _ = run.call("build", build, g, run.seed, run.workers, tracker)
+        if len(servers) == keep:
+            servers.pop(0)  # free it before the next build
+        i = len(run.timings.get("build", []))
+        servers.append(run.call("build", build, g, run.seed * 1000 + i, run.workers,
+                                tracker)[0])
         record_pram(run, tracker)
         tracker = None
+        if servers[-1] is None:
+            raise RuntimeError("build failed")
         t = run.timings["build"]
-        if len(t) >= 3 or sum(t) >= 5.0:
+        if len(t) >= 5 or (len(t) >= 3 and sum(t) >= 8.0):
             break
-    if server is None:
-        raise RuntimeError("build failed")
     run.figures["build_s"] = run.median("build")
-    return server
+    return servers
 
 
 def pram_tracker(run: Run, n: int) -> Optional[PramTracker]:
@@ -299,38 +307,29 @@ def record_pram(run: Run, tracker: Optional[PramTracker]) -> None:
 # ----------------------------------------------------------------------
 # serve-rgg
 # ----------------------------------------------------------------------
-def serve_pools(g: Any, rng: np.random.Generator) -> List[np.ndarray]:
-    """Each replica's distinct sources.  The stream's cold sources come
-    in pairs, stratified ones first (a low and a high eccentricity per
-    pair), then uniform ones; pair ``j`` goes to replica ``j % R``, so
-    the cold pairs reach the replicas in the order drawn."""
-    perm = rng.permutation(g.n)[:SERVE_POOL + SERVE_STRATIFIED]
-    first = stratified_sources(g, rng, SERVE_STRATIFIED, perm[:2 * SERVE_STRATIFIED])
-    pairs = np.concatenate([first, perm[2 * SERVE_STRATIFIED:]]).reshape(-1, SERVE_COLD_SOURCES)
-    return [pairs[r::SERVE_REPLICAS].ravel() for r in range(SERVE_REPLICAS)]
-
-
-def serve_stream(rng: np.random.Generator, n: int, pool: np.ndarray
-                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(pairs, new_sources)`` per request to one replica.  Every fourth
-    request brings two sources of ``pool`` never requested before (cold
-    rows, each repeated over several pairs so the front door coalesces
-    them); every other pair draws a Zipf-skewed source among those
-    already requested, and targets are uniform."""
-    seen = 0
-    r = 0
-    while True:
-        new = np.empty(0, dtype=np.int64)
-        if r % SERVE_COLD_EVERY == 0 and seen + SERVE_COLD_SOURCES <= pool.shape[0]:
-            new = pool[seen:seen + SERVE_COLD_SOURCES]
-            seen += SERVE_COLD_SOURCES
-        fresh = np.repeat(new, SERVE_COLD_PAIRS)
-        k = SERVE_PAIRS - fresh.shape[0]
-        ranks = (rng.zipf(SERVE_ZIPF, size=k) - 1) % seen
-        src = np.concatenate([fresh, pool[ranks]])
-        dst = rng.integers(0, n, size=SERVE_PAIRS)
-        yield np.stack([src, dst], axis=1).astype(np.int64), new
-        r += 1
+def serve_requests(g: Any, rng: np.random.Generator, seconds: float
+                   ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """``(replica, pairs, pool)`` per cold request.  A request is
+    bench_serve's: ``SERVE_BATCH`` pairs whose sources come from a pool
+    of ``SERVE_BATCH // 8`` sources never requested before (each of
+    them at least once), with uniform targets.  There are as many
+    requests as cold rows fit in ``seconds`` at ``SERVE_ROW_S`` each, so
+    the work is fixed by the arguments, not by the host's speed.  The
+    pooled sources are stratified by eccentricity, and each pool pairs
+    a source near the centre with one near the rim; request ``c`` goes
+    to replica ``c % SERVE_REPLICAS``."""
+    size = max(1, SERVE_BATCH // 8)
+    count = max(1, round(seconds / (size * SERVE_ROW_S)))
+    sources = stratified_sources(g, rng, count * size,
+                                 rng.choice(g.n, size=2 * count * size, replace=False))
+    out = []
+    for c in range(count):
+        pool = sources[c * size:(c + 1) * size]
+        src = pool[rng.integers(0, size, size=SERVE_BATCH)]
+        src[:size] = pool
+        dst = rng.integers(0, g.n, size=SERVE_BATCH)
+        out.append((c % SERVE_REPLICAS, np.stack([src, dst], axis=1).astype(np.int64), pool))
+    return out
 
 
 def serve_build(g: Any, seed: int, workers: int,
@@ -341,43 +340,28 @@ def serve_build(g: Any, seed: int, workers: int,
 
 def serve_rgg(run: Run, path: str) -> None:
     g = setup(run, path)
-    tracker = pram_tracker(run, g.n)
-    servers: List[DistanceServer] = []
-    for r in range(SERVE_REPLICAS):
-        server, _ = run.call("build", serve_build, g, run.seed * 1000 + r, run.workers,
-                             tracker if r == 0 else None)
-        if server is None:
-            raise RuntimeError("build failed")
-        servers.append(server)
-    record_pram(run, tracker)
-    run.figures["build_s"] = run.median("build")
+    servers = build_servers(run, g, serve_build, SERVE_REPLICAS)
 
     rng = np.random.default_rng([run.seed, 1])
     with run.aside():
-        pools = serve_pools(g, rng)
-    streams = [serve_stream(np.random.default_rng([run.seed, 1, r]), g.n, pools[r])
-               for r in range(SERVE_REPLICAS)]
+        requests = serve_requests(g, rng, run.seconds)
     served: List[Tuple[int, np.ndarray, np.ndarray]] = []
     cold: List[Tuple[int, int]] = []
     answered = 0
-    requests = 0
-    # whole cycles of one cold and three warm requests go to the replicas
-    # in turn; the loop stops on a cycle boundary, so the pairs answered
-    # do not depend on where the clock ran out
-    while run.more() or requests % SERVE_COLD_EVERY:
-        r = (requests // SERVE_COLD_EVERY) % SERVE_REPLICAS
-        pairs, new = next(streams[r])
-        requests += 1
-        ans, dt = run.call("request", servers[r].query_batch, pairs)
-        run.measured += dt
-        cold.extend((r, int(s)) for s in new)
-        if ans is not None:
-            served.append((r, pairs, ans))
-            answered += pairs.shape[0]
+    # each request cold, then its warm passes; a fixed amount of work,
+    # so the clock does not decide which pairs a run serves
+    for r, pairs, pool in requests:
+        cold.extend((r, int(s)) for s in pool)
+        for _ in range(1 + SERVE_WARM_PASSES):
+            ans, dt = run.call("request", servers[r].query_batch, pairs)
+            run.measured += dt
+            if ans is not None:
+                served.append((r, pairs, ans))
+                answered += pairs.shape[0]
     run.end_window()
 
-    # checks: the first cold rows (a seeded sample of the pool) and
-    # every answer served from them
+    # checks: the first cold rows (a seeded sample of the stratified
+    # sources) and every answer served from them
     oracle = scipy_graph(g.n, g.edge_u, g.edge_v, g.edge_w)
     pick = cold[:SERVE_CHECK_ROWS]
     D = dijkstra(oracle, directed=False, indices=[s for _, s in pick])
@@ -393,10 +377,12 @@ def serve_rgg(run: Run, path: str) -> None:
     run.ref_sources = [s for _, s in cold[:2]]
 
     lat = run.timings["request"]
-    run.figures["op_p50_ms"] = 1e3 * statistics.median(lat)
+    # the gated median is that of the cold passes: a hit takes 20-60 us,
+    # and its median moved by a third between reruns of one seed
+    run.figures["op_p50_ms"] = 1e3 * statistics.median(lat[::1 + SERVE_WARM_PASSES])
     run.figures["throughput"] = answered / max(sum(lat), 1e-12)
     run.figures["output_size_ratio"] = float(np.mean([sv.hopset.size for sv in servers])) / g.m
-    run.figures["query_p50_ms"] = run.figures["op_p50_ms"]
+    run.figures["query_p50_ms"] = 1e3 * statistics.median(lat)
     run.figures["qps"] = run.figures["throughput"]
     run.figures["hopset_edges_per_m"] = run.figures["output_size_ratio"]
 
@@ -531,7 +517,7 @@ def churn_build(g: Any, seed: int, workers: int,
 
 def churn_rgg(run: Run, path: str) -> None:
     g = setup(run, path)
-    server = build_server(run, g, churn_build)
+    server, = build_servers(run, g, churn_build, 1)
     run.figures["output_size_ratio"] = server.hopset.size / g.m
     blocks = max(server.hopset.structure.num_blocks, 1)
 
@@ -545,34 +531,36 @@ def churn_rgg(run: Run, path: str) -> None:
     invalidated = cached = 0.0
     dirty_share: List[float] = []
     rebuilt: List[float] = []
-    step = 0
-    while run.more():
+    # a fixed number of steps, each hot source queried equally often, so
+    # the clock does not decide which queries a run serves
+    steps = CHURN_HOT * max(1, round(run.seconds / (CHURN_HOT * CHURN_STEP_S)))
+    for step in range(steps):
         # fresh, fresh, then each inverse two steps after its batch
         is_fresh = step < 2 or step % 2 == 1
         batch = next(fresh) if is_fresh else pending.popleft()
         before = len(server.cached_sources())
         info, dt = run.call("update", server.apply_updates, batch)
         run.measured += dt
-        if info is not None:
-            if is_fresh:
-                pending.append(info["inverse"])
-            mirror.apply(batch)
-            invalidated += info["invalidated_rows"]
-            cached += before
-            dirty_share.append(info["dirty_blocks"] / blocks)
-            rebuilt.append(info["rebuilt_edges"])
+        if info is None:
+            break  # the failure is counted; the server's graph is now unknown
+        if is_fresh:
+            pending.append(info["inverse"])
+        mirror.apply(batch)
+        invalidated += info["invalidated_rows"]
+        cached += before
+        dirty_share.append(info["dirty_blocks"] / blocks)
+        rebuilt.append(info["rebuilt_edges"])
         s, t = int(hot[step % CHURN_HOT]), int(rng.integers(g.n))
         ans, dt = run.call("query", server.query, s, t)
         run.measured += dt
-        step += 1
         check_churn(run, server, mirror, rng, s, t, ans)
     run.end_window()
 
-    up, q = run.timings["update"], run.timings["query"]
+    up, q = run.timings["update"], run.timings.get("query", [])
     run.figures["op_p50_ms"] = 1e3 * statistics.median(up)
     run.figures["throughput"] = len(q) / max(sum(q), 1e-12)
     run.figures["update_p50_ms"] = run.figures["op_p50_ms"]
-    run.figures["query_p50_ms"] = 1e3 * statistics.median(q)
+    run.figures["query_p50_ms"] = 1e3 * statistics.median(q) if q else 0.0
     run.figures["qps"] = run.figures["throughput"]
     run.figures["hopset_edges_per_m"] = run.figures["output_size_ratio"]
 
@@ -744,6 +732,8 @@ def run_workload(workload: str, seed: int, seconds: float, workers: int,
         tracer.install()
     try:
         PIPELINES[workload](run, path)
+    except Exception as exc:  # reported in the result line, not as a traceback
+        run.fail(f"{workload}: {type(exc).__name__}: {exc}")
     finally:
         if tracer is not None:
             tracer.uninstall()
