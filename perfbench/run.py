@@ -4,7 +4,7 @@
 Usage, from the repository root::
 
     python3 perfbench/run.py                  # every workload, untraced then traced
-    python3 perfbench/run.py --workload serve-rgg --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload serve-rgg --seed 1 --seconds 18 --trace 0
 
 ``--workload`` is one of ``serve-rgg``, ``spanner-gnm``, ``churn-rgg``,
 ``ctree-ba`` or ``all`` (the default: each workload runs in its own
@@ -20,8 +20,13 @@ per-layer ones with ``--trace 1`` (names and units in
 code 1.
 
 The library is called with ``workers=`` equal to the cores this
-process may run on, and the BLAS/OpenMP/numba thread pools are pinned
-to the same count before numpy is imported.
+process may run on less one (at least one), and the BLAS/OpenMP/numba
+thread pools are pinned to the same count before numpy is imported.
+The spare core is left to the rest of the host: the hop kernel's
+threads meet at a barrier every round, so on a shared host a neighbour
+holding one core stalls every round of a kernel that uses them all
+(a cold row 1.1 s -> 1.8 s with two threads on two cores beside one
+busy process, unchanged at 1.3 s with one thread).
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ def cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
+
+
+def bench_workers(n_cores: int) -> int:
+    """The ``workers=`` value: every core but one, and at least one."""
+    return max(1, n_cores - 1)
 
 
 def versions() -> str:
@@ -124,8 +134,9 @@ def run_one(args: argparse.Namespace, workers: int) -> int:
     spec = load_spec()
     n_cores = cores()
     print(f"machine: cores={n_cores} workers={workers} {versions()}")
-    if n_cores < 2:
-        print("WARNING: one core only; multicore changes cannot show in this result")
+    if workers < 2:
+        print(f"WARNING: workers=1 on {n_cores} core(s); multicore changes cannot show "
+              "in this result")
     from repro.parallel.pool import effective_workers, set_default_workers
 
     set_default_workers(workers)
@@ -208,7 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: the library sources (src/repro) are not under {ROOT}",
               file=sys.stderr)
         return 2
-    workers = cores()
+    workers = bench_workers(cores())
     for var in THREAD_VARS:
         os.environ[var] = str(workers)
     sys.path.insert(0, os.path.join(ROOT, "src"))

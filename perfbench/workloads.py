@@ -10,11 +10,11 @@ x86 VM; the build loops run until the time spent inside builds reaches
 ``seconds``.  Correctness checks run between requests, outside the
 measured time.
 
-* ``serve-rgg`` — three :class:`~repro.serve.DistanceServer` replicas,
-  each over a hopset of a random geometric graph built with its own
-  seed; requests are ``benchmarks/bench_serve.py``'s ``query_batch``
-  calls, each served cold and then warm, taking turns on the replicas
-  (a run sees three hopsets, whose quality moves query cost from seed
+* ``serve-rgg`` — cycles of build, then serve: each cycle builds a
+  hopset of a random geometric graph with its own seed and serves
+  ``benchmarks/bench_serve.py``'s ``query_batch`` calls on a fresh
+  :class:`~repro.serve.DistanceServer`, each served cold and then warm
+  (a run sees four hopsets, whose quality moves query cost from seed
   to seed).
 * ``spanner-gnm`` — ``weighted_spanner(k=8)`` on weighted G(n, m);
   requests are builds with fresh seeds.
@@ -77,20 +77,22 @@ CTREE_REQUIREMENT = "wellconnected"
 # (a request of SERVE_BATCH pairs whose sources come from a pool of
 # SERVE_BATCH // 8, uniform targets), each request served cold, then
 # re-served warm, as bench_serve's throughput sweep does
-SERVE_REPLICAS = 3        # servers over the last builds: three hopsets even out quality
+SERVE_CYCLES = 4          # hopsets a run builds and serves: four even out hopset quality
 SERVE_BATCH = 16          # a batch of bench_serve's sweep: 2 cold rows a request
-SERVE_ROW_S = 1.25        # measured cost of a cold row (2-core x86 VM); sizes a run
+SERVE_ROW_S = 1.5         # measured cost of a cold row (2-core x86 VM, one worker); sizes a run
 SERVE_WARM_PASSES = 2     # the fewest that put the median request on cache hits
-SERVE_CHECK_ROWS = 3
 
 # churn-rgg stream
 CHURN_EDGES = 10          # deletes and inserts per fresh batch
-CHURN_HOT = 8             # hot query sources, stratified by eccentricity
-CHURN_STEP_S = 2.3        # an update and a cold query (2-core x86 VM); sizes a run
+CHURN_CYCLES = 3          # hopsets a run builds and churns: three even out hopset quality
+CHURN_HOT = 3             # hot query sources (centre, middle, rim), queried in every cycle
+CHURN_STEP_S = 2.6        # an update and a cold query (2-core x86 VM, one worker); sizes a run
 CHURN_WALK = 3            # inserts join a vertex to the end of a 3-step walk
 CHURN_DEF24_SOURCES = 3
 
 STRETCH_SOURCES = 4       # spanner check: every edge at these vertices
+
+SOURCE_CANDIDATES = 32    # eccentricity sample for the query sources (at least 4 a source)
 
 TAIL_LADDER = (50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 99.99)
 TAIL_BEYOND = 10
@@ -136,17 +138,19 @@ def scipy_graph(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> csr_matr
     return csr_matrix((w, (u, v)), shape=(n, n))
 
 
-def stratified_sources(g: Any, rng: np.random.Generator, count: int,
-                       candidates: np.ndarray) -> np.ndarray:
-    """``count`` sources, one per stratum of hop eccentricity among the
-    ``2 * count`` ``candidates``, ordered lowest, highest, second lowest,
-    ... so that every prefix mixes sources near the centre and the rim.
+def stratified_sources(g: Any, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` sources at evenly spaced quantiles of hop eccentricity
+    among ``SOURCE_CANDIDATES`` (or ``4 * count``) seeded candidates, ordered
+    lowest, highest, second lowest, ... so that every prefix, and every
+    consecutive pair, mixes a source near the centre with one near the
+    rim.
 
     A cold row's kernel work follows its source's eccentricity
     (correlation ~0.9 on the RGG at n=1e5), so a uniform sample of a
     dozen sources swings a run's query cost by tens of percent from
-    seed to seed; one source per stratum keeps the mix fixed.
+    seed to seed; quantiles of a larger sample keep the mix fixed.
     """
+    candidates = rng.choice(g.n, size=max(SOURCE_CANDIDATES, 4 * count), replace=False)
     adj = scipy_graph(g.n, g.edge_u, g.edge_v, np.ones(g.m))
     ecc = np.empty(candidates.shape[0])
     for lo in range(0, candidates.shape[0], 8):  # bounded memory
@@ -154,8 +158,8 @@ def stratified_sources(g: Any, rng: np.random.Generator, count: int,
                               indices=candidates[lo:lo + 8])
         depth[np.isinf(depth)] = 0.0
         ecc[lo:lo + 8] = depth.max(axis=1)
-    strata = candidates[np.argsort(ecc, kind="stable")].reshape(count, 2)
-    picks = strata[np.arange(count), rng.integers(0, 2, size=count)]
+    ranked = candidates[np.argsort(ecc, kind="stable")]
+    picks = ranked[((np.arange(count) + 0.5) * ranked.shape[0] / count).astype(np.int64)]
     order = np.empty(count, dtype=np.int64)
     order[0::2] = np.arange((count + 1) // 2)
     order[1::2] = count - 1 - np.arange(count // 2)
@@ -270,30 +274,6 @@ def setup(run: Run, path: str) -> Any:
     return g
 
 
-def build_servers(run: Run, g: Any, build: Callable[..., DistanceServer],
-                  keep: int) -> List[DistanceServer]:
-    """Build until five builds, or three and eight seconds of building,
-    each with its own seed, for a steady median ``build_s``; the last
-    ``keep`` builds are served."""
-    tracker = pram_tracker(run, g.n)
-    servers: List[DistanceServer] = []
-    while True:
-        if len(servers) == keep:
-            servers.pop(0)  # free it before the next build
-        i = len(run.timings.get("build", []))
-        servers.append(run.call("build", build, g, run.seed * 1000 + i, run.workers,
-                                tracker)[0])
-        record_pram(run, tracker)
-        tracker = None
-        if servers[-1] is None:
-            raise RuntimeError("build failed")
-        t = run.timings["build"]
-        if len(t) >= 5 or (len(t) >= 3 and sum(t) >= 8.0):
-            break
-    run.figures["build_s"] = run.median("build")
-    return servers
-
-
 def pram_tracker(run: Run, n: int) -> Optional[PramTracker]:
     return PramTracker(n=n) if run.tracer is not None else None
 
@@ -308,27 +288,27 @@ def record_pram(run: Run, tracker: Optional[PramTracker]) -> None:
 # serve-rgg
 # ----------------------------------------------------------------------
 def serve_requests(g: Any, rng: np.random.Generator, seconds: float
-                   ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """``(replica, pairs, pool)`` per cold request.  A request is
+                   ) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
+    """``(pairs, pool)`` of each cold request, by cycle.  A request is
     bench_serve's: ``SERVE_BATCH`` pairs whose sources come from a pool
     of ``SERVE_BATCH // 8`` sources never requested before (each of
-    them at least once), with uniform targets.  There are as many
-    requests as cold rows fit in ``seconds`` at ``SERVE_ROW_S`` each, so
-    the work is fixed by the arguments, not by the host's speed.  The
-    pooled sources are stratified by eccentricity, and each pool pairs
-    a source near the centre with one near the rim; request ``c`` goes
-    to replica ``c % SERVE_REPLICAS``."""
+    them at least once), with uniform targets.  Each of the
+    ``SERVE_CYCLES`` cycles gets as many requests as cold rows fit in
+    its share of ``seconds`` at ``SERVE_ROW_S`` each, so the work is
+    fixed by the arguments, not by the host's speed.  The pooled
+    sources are stratified by eccentricity, and each pool pairs a source
+    near the centre with one near the rim."""
     size = max(1, SERVE_BATCH // 8)
-    count = max(1, round(seconds / (size * SERVE_ROW_S)))
-    sources = stratified_sources(g, rng, count * size,
-                                 rng.choice(g.n, size=2 * count * size, replace=False))
-    out = []
+    per_cycle = max(1, round(seconds / (SERVE_CYCLES * size * SERVE_ROW_S)))
+    count = SERVE_CYCLES * per_cycle
+    sources = stratified_sources(g, rng, count * size)
+    out: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(SERVE_CYCLES)]
     for c in range(count):
         pool = sources[c * size:(c + 1) * size]
         src = pool[rng.integers(0, size, size=SERVE_BATCH)]
         src[:size] = pool
         dst = rng.integers(0, g.n, size=SERVE_BATCH)
-        out.append((c % SERVE_REPLICAS, np.stack([src, dst], axis=1).astype(np.int64), pool))
+        out[c % SERVE_CYCLES].append((np.stack([src, dst], axis=1).astype(np.int64), pool))
     return out
 
 
@@ -339,55 +319,67 @@ def serve_build(g: Any, seed: int, workers: int,
 
 
 def serve_rgg(run: Run, path: str) -> None:
+    """Cycles of build, then serve: each cycle builds a hopset with its
+    own seed, serves its requests on a fresh server (each request cold,
+    then its warm passes), checks one cold row and every answer served
+    from it against Dijkstra, and drops the server.  A fixed amount of
+    work, so the clock does not decide which pairs a run serves."""
     g = setup(run, path)
-    servers = build_servers(run, g, serve_build, SERVE_REPLICAS)
-
     rng = np.random.default_rng([run.seed, 1])
     with run.aside():
-        requests = serve_requests(g, rng, run.seconds)
-    served: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    cold: List[Tuple[int, int]] = []
+        cycles = serve_requests(g, rng, run.seconds)
+        oracle = scipy_graph(g.n, g.edge_u, g.edge_v, g.edge_w)
+    tracker = pram_tracker(run, g.n)
+    cold_lat: List[float] = []
+    stats: List[Any] = []
+    sizes: List[int] = []
     answered = 0
-    # each request cold, then its warm passes; a fixed amount of work,
-    # so the clock does not decide which pairs a run serves
-    for r, pairs, pool in requests:
-        cold.extend((r, int(s)) for s in pool)
-        for _ in range(1 + SERVE_WARM_PASSES):
-            ans, dt = run.call("request", servers[r].query_batch, pairs)
-            run.measured += dt
-            if ans is not None:
-                served.append((r, pairs, ans))
-                answered += pairs.shape[0]
-    run.end_window()
+    for i, requests in enumerate(cycles):
+        server, _ = run.call("build", serve_build, g, run.seed * 1000 + i, run.workers, tracker)
+        record_pram(run, tracker)
+        tracker = None
+        if server is None:
+            continue
+        served: List[Tuple[np.ndarray, np.ndarray]] = []
+        for pairs, _pool in requests:
+            for p in range(1 + SERVE_WARM_PASSES):
+                ans, dt = run.call("request", server.query_batch, pairs)
+                if p == 0:
+                    cold_lat.append(dt)
+                if ans is not None:
+                    served.append((pairs, ans))
+                    answered += pairs.shape[0]
+        s = int(requests[0][1][0])
 
-    # checks: the first cold rows (a seeded sample of the stratified
-    # sources) and every answer served from them
-    oracle = scipy_graph(g.n, g.edge_u, g.edge_v, g.edge_w)
-    pick = cold[:SERVE_CHECK_ROWS]
-    D = dijkstra(oracle, directed=False, indices=[s for _, s in pick])
-    for i, (r, s) in enumerate(pick):
-        def same(r: int = r, s: int = s, row: np.ndarray = D[i]) -> bool:
-            ok = same_row(servers[r], s, row)
-            for rr, pairs, ans in served:
+        def same(server: DistanceServer = server, s: int = s,
+                 served: List[Tuple[np.ndarray, np.ndarray]] = served) -> bool:
+            row = dijkstra(oracle, directed=False, indices=s)
+            ok = same_row(server, s, row)
+            for pairs, ans in served:
                 sel = pairs[:, 0] == s
-                if rr == r and sel.any():
-                    ok &= bool(np.allclose(ans[sel], row[pairs[sel, 1]], rtol=1e-9, atol=0))
+                ok &= bool(np.allclose(ans[sel], row[pairs[sel, 1]], rtol=1e-9, atol=0))
             return ok
+
         run.check(f"served row {s} equals Dijkstra", same)
-    run.ref_sources = [s for _, s in cold[:2]]
+        stats.append(server.stats)
+        sizes.append(server.hopset.size)
+        del server
+    run.end_window()
+    run.ref_sources = [int(s) for s in cycles[0][0][1]]
 
     lat = run.timings["request"]
+    run.figures["build_s"] = run.median("build")
     # the gated median is that of the cold passes: a hit takes 20-60 us,
     # and its median moved by a third between reruns of one seed
-    run.figures["op_p50_ms"] = 1e3 * statistics.median(lat[::1 + SERVE_WARM_PASSES])
+    run.figures["op_p50_ms"] = 1e3 * statistics.median(cold_lat)
     run.figures["throughput"] = answered / max(sum(lat), 1e-12)
-    run.figures["output_size_ratio"] = float(np.mean([sv.hopset.size for sv in servers])) / g.m
+    run.figures["output_size_ratio"] = float(np.mean(sizes)) / g.m
     run.figures["query_p50_ms"] = 1e3 * statistics.median(lat)
     run.figures["qps"] = run.figures["throughput"]
     run.figures["hopset_edges_per_m"] = run.figures["output_size_ratio"]
 
     def total(field: str) -> int:
-        return sum(getattr(sv.stats, field) for sv in servers)
+        return sum(getattr(st, field) for st in stats)
 
     hits, misses = total("cache_hits"), total("cache_misses")
     run.layer["serve.cache_hit_ratio"] = hits / max(hits + misses, 1)
@@ -516,60 +508,78 @@ def churn_build(g: Any, seed: int, workers: int,
 
 
 def churn_rgg(run: Run, path: str) -> None:
+    """Cycles of build, then churn: each cycle builds a repairable
+    hopset with its own seed, serves it, and runs a fixed number of
+    steps on it, each an ``apply_updates`` then one ``query`` from the
+    next hot source; the server is then dropped.  Each cycle's stream is
+    fresh, fresh, then each batch's recorded inverse two steps after it,
+    so at most two batches are outstanding and the graph stays close to
+    the one the hopset was built for."""
     g = setup(run, path)
-    server, = build_servers(run, g, churn_build, 1)
-    run.figures["output_size_ratio"] = server.hopset.size / g.m
-    blocks = max(server.hopset.structure.num_blocks, 1)
-
     rng = np.random.default_rng([run.seed, 3])
     with run.aside():
-        hot = stratified_sources(g, rng, CHURN_HOT,
-                                 rng.choice(g.n, size=2 * CHURN_HOT, replace=False))
+        hot = stratified_sources(g, rng, CHURN_HOT)
         fresh = churn_batches(rng, g)
-        pending: deque = deque()
-        mirror = EdgeMirror(g)
+    # a fixed number of steps, each hot source queried equally often, so
+    # the clock does not decide which queries a run serves
+    steps = CHURN_HOT * max(1, round(run.seconds / (CHURN_CYCLES * CHURN_HOT * CHURN_STEP_S)))
+    tracker = pram_tracker(run, g.n)
+    sizes: List[int] = []
+    stats: List[Any] = []
     invalidated = cached = 0.0
     dirty_share: List[float] = []
     rebuilt: List[float] = []
-    # a fixed number of steps, each hot source queried equally often, so
-    # the clock does not decide which queries a run serves
-    steps = CHURN_HOT * max(1, round(run.seconds / (CHURN_HOT * CHURN_STEP_S)))
-    for step in range(steps):
-        # fresh, fresh, then each inverse two steps after its batch
-        is_fresh = step < 2 or step % 2 == 1
-        batch = next(fresh) if is_fresh else pending.popleft()
-        before = len(server.cached_sources())
-        info, dt = run.call("update", server.apply_updates, batch)
-        run.measured += dt
-        if info is None:
-            break  # the failure is counted; the server's graph is now unknown
-        if is_fresh:
-            pending.append(info["inverse"])
-        mirror.apply(batch)
-        invalidated += info["invalidated_rows"]
-        cached += before
-        dirty_share.append(info["dirty_blocks"] / blocks)
-        rebuilt.append(info["rebuilt_edges"])
-        s, t = int(hot[step % CHURN_HOT]), int(rng.integers(g.n))
-        ans, dt = run.call("query", server.query, s, t)
-        run.measured += dt
-        check_churn(run, server, mirror, rng, s, t, ans)
+    for i in range(CHURN_CYCLES):
+        server, _ = run.call("build", churn_build, g, run.seed * 1000 + i, run.workers, tracker)
+        record_pram(run, tracker)
+        tracker = None
+        if server is None:
+            continue
+        sizes.append(server.hopset.size)
+        blocks = max(server.hopset.structure.num_blocks, 1)
+        with run.aside():
+            mirror = EdgeMirror(g)
+        pending: deque = deque()
+        for step in range(steps):
+            is_fresh = step < 2 or step % 2 == 1
+            batch = next(fresh) if is_fresh else pending.popleft()
+            before = len(server.cached_sources())
+            info, _ = run.call("update", server.apply_updates, batch)
+            if info is None:
+                break  # the failure is counted; the server's graph is now unknown
+            if is_fresh:
+                pending.append(info["inverse"])
+            mirror.apply(batch)
+            invalidated += info["invalidated_rows"]
+            cached += before
+            dirty_share.append(info["dirty_blocks"] / blocks)
+            rebuilt.append(info["rebuilt_edges"])
+            s, t = int(hot[step % CHURN_HOT]), int(rng.integers(g.n))
+            ans, _ = run.call("query", server.query, s, t)
+            check_churn(run, server, mirror, rng, s, t, ans)
+        stats.append(server.stats)
+        del server
     run.end_window()
 
     up, q = run.timings["update"], run.timings.get("query", [])
+    run.figures["build_s"] = run.median("build")
     run.figures["op_p50_ms"] = 1e3 * statistics.median(up)
     run.figures["throughput"] = len(q) / max(sum(q), 1e-12)
+    run.figures["output_size_ratio"] = float(np.mean(sizes)) / g.m
     run.figures["update_p50_ms"] = run.figures["op_p50_ms"]
     run.figures["query_p50_ms"] = 1e3 * statistics.median(q) if q else 0.0
     run.figures["qps"] = run.figures["throughput"]
     run.figures["hopset_edges_per_m"] = run.figures["output_size_ratio"]
 
-    st = server.stats
-    run.layer["serve.cache_hit_ratio"] = st.cache_hits / max(st.cache_hits + st.cache_misses, 1)
-    run.layer["serve.kernel_runs_per_request"] = st.kernel_runs / max(st.queries, 1)
+    def total(field: str) -> int:
+        return sum(getattr(st, field) for st in stats)
+
+    hits, misses = total("cache_hits"), total("cache_misses")
+    run.layer["serve.cache_hit_ratio"] = hits / max(hits + misses, 1)
+    run.layer["serve.kernel_runs_per_request"] = total("kernel_runs") / max(total("queries"), 1)
     run.layer["serve.invalidated_share"] = invalidated / max(cached, 1)
-    run.layer["kernels.rounds_per_row"] = st.rounds / max(st.kernel_calls, 1)
-    run.layer["kernels.arcs_per_row"] = st.arcs / max(st.kernel_runs, 1)
+    run.layer["kernels.rounds_per_row"] = total("rounds") / max(total("kernel_calls"), 1)
+    run.layer["kernels.arcs_per_row"] = total("arcs") / max(total("kernel_runs"), 1)
     run.layer["dynamic.dirty_block_share"] = float(np.mean(dirty_share)) if dirty_share else 0.0
     run.layer["dynamic.rebuilt_edges"] = float(np.mean(rebuilt)) if rebuilt else 0.0
 
