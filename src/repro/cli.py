@@ -120,21 +120,11 @@ def _add_workers_arg(p: argparse.ArgumentParser) -> None:
         help="engine worker threads (1 = serial, 0 or negative = all cores); "
         "results are identical for every value",
     )
-    p.add_argument(
-        "--shard-mode",
-        choices=["thread", "process"],
-        default="thread",
-        help="how relaxation frontiers are sharded with --workers > 1: "
-        "GIL-released numpy threads (default) or forked processes with "
-        "shared-memory labels (parallelizes the claim passes too); "
-        "results are identical either way",
-    )
 
 
 def _workers_from_args(args: argparse.Namespace) -> "Optional[int]":
-    from repro.parallel import set_default_workers, set_shard_mode
+    from repro.parallel import set_default_workers
 
-    set_shard_mode(getattr(args, "shard_mode", "thread"))
     w = getattr(args, "workers", 1)
     w = None if w is not None and w <= 0 else w
     # the CLI worker request is also the session policy: engine calls
@@ -779,22 +769,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ParameterError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    from repro.parallel import (
-        get_default_workers,
-        get_shard_mode,
-        set_default_workers,
-        set_shard_mode,
-    )
+    from repro.parallel import get_default_workers, set_default_workers
 
-    # --workers/--shard-mode set session-wide policy for the duration of
-    # the command; restore afterwards so programmatic main() callers
-    # (tests, notebooks) don't inherit one command's knobs
-    prev_policy, prev_mode = get_default_workers(), get_shard_mode()
+    # --workers sets the session-wide policy for the duration of the
+    # command; restore afterwards so programmatic main() callers (tests,
+    # notebooks) don't inherit one command's knobs
+    prev_policy = get_default_workers()
     try:
         return args.fn(args)
     finally:
         set_default_workers(prev_policy)
-        set_shard_mode(prev_mode)
 
 
 if __name__ == "__main__":

@@ -54,38 +54,19 @@ the two-level min equals the serial global min **bit for bit**, for
 any shard count — results are independent of ``workers`` and of how
 the frontier happened to be split.  All label writes stay on the
 coordinating thread; worker threads only read the pre-round snapshot.
-
-Process shard mode
-------------------
-Threads only help inside the GIL-released gather ops; the claim
-``lexsort`` and boolean reductions serialize.  With
-``repro.parallel.set_shard_mode("process")`` the bucket kernel runs
-the same shard plan on a :class:`repro.parallel.process.ForkShardPool`
-instead: the ``dist``/``rank`` labels and a frontier scratch buffer
-live in shared anonymous mmaps (fork-shared, not copy-on-write), the
-gather closure and the CSR arrays are inherited by the forked workers
-for free, and per round each worker receives only its scratch bounds
-and returns its claim-reduced shard winners.  The merge is the same
-min-``(cand, rank, src)`` pass, so labels and ledgers are bit-equal to
-thread mode and serial for any worker count.  Falls back to threads
-where ``fork`` is unavailable.  ``workers=1`` never forks.
+Both kernels run their rounds through the one :class:`_ShardedRounds`
+helper; each supplies only its own gather and reduction.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.parallel.chunking import shard_frontier
-from repro.parallel.pool import (
-    DEFAULT_WORKERS,
-    WorkersArg,
-    effective_workers,
-    get_shard_mode,
-)
-from repro.parallel.process import ForkShardPool, fork_available, shared_empty
+from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg, effective_workers
 
 INT_INF = np.iinfo(np.int64).max
 
@@ -173,6 +154,57 @@ def expand_frontier(
     return arc_index, arc_source
 
 
+#: ``(winners, arcs)``: a tuple of claim-reduced arrays (``None`` when
+#: nothing improved) and the arcs gathered — what a shard gather returns
+RoundResult = Tuple[Optional[Tuple[np.ndarray, ...]], int]
+
+
+class _ShardedRounds:
+    """The relaxation-round runner shared by both kernels.
+
+    :meth:`map` runs one round's gather over a frontier: inline when
+    the frontier is small or one worker is in effect, otherwise split
+    by :func:`shard_frontier` and gathered on a thread pool.  The pool
+    is created on the first shardable frontier — batched builders issue
+    many kernel calls whose frontiers never reach the threshold, and
+    those must not pay pool churn — and shut down on exit.
+    """
+
+    def __init__(self, workers: WorkersArg):
+        self.nw = effective_workers(workers, oversubscribe=True)
+        self._pool: Optional[ThreadPoolExecutor] = None
+
+    def map(
+        self,
+        gather: Callable[..., RoundResult],
+        frontier: np.ndarray,
+        merge: Callable[..., Tuple[np.ndarray, ...]],
+        *args: Any,
+    ) -> RoundResult:
+        """``gather(shard, *args)`` over the frontier's shards, the
+        non-empty shard winners concatenated column by column and
+        reduced once more by ``merge`` (the kernel's own associative
+        reduction, so any shard layout yields the serial result)."""
+        if self.nw == 1 or frontier.shape[0] < 2 * PAR_MIN_SHARD:
+            return gather(frontier, *args)
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.nw)
+        shards = shard_frontier(frontier, self.nw, PAR_MIN_SHARD)
+        parts = list(self._pool.map(lambda s: gather(s, *args), shards))
+        arcs = sum(p[1] for p in parts)
+        kept = [p[0] for p in parts if p[0] is not None]
+        if len(kept) <= 1:
+            return (kept[0] if kept else None), arcs
+        return merge(*(np.concatenate(col) for col in zip(*kept))), arcs
+
+    def __enter__(self) -> "_ShardedRounds":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
+
+
 def hop_sssp_batch(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -243,8 +275,6 @@ def hop_sssp_batch(
     else:
         dist, hops, frontier, r = state
 
-    nw = effective_workers(workers, oversubscribe=True)
-    pool: Optional[ThreadPoolExecutor] = None
     round_arcs: List[int] = []
 
     def _reduce_min(
@@ -260,9 +290,7 @@ def hop_sssp_batch(
         np.not_equal(nbr_s[1:], nbr_s[:-1], out=first[1:])
         return nbr_s[first], cand_s[first]
 
-    def _gather_shard(
-        shard: np.ndarray,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
+    def _gather_hop_shard(shard: np.ndarray) -> RoundResult:
         """Improving candidates out of one contiguous frontier shard,
         claim-reduced, against the pre-round snapshot (pure reads)."""
         vv = shard if single else shard % n
@@ -270,7 +298,7 @@ def hop_sssp_batch(
         counts = indptr[vv + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            return None, None, 0
+            return None, 0
         arc_off = np.repeat(np.cumsum(counts) - counts, counts)
         arc_idx = np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
         if single:
@@ -280,43 +308,23 @@ def hop_sssp_batch(
         cand = np.repeat(dist[shard], counts) + weights[arc_idx]
         improving = cand < dist[nbr]
         if not improving.any():
-            return None, None, total
-        nbr, cand = _reduce_min(nbr[improving], cand[improving])
-        return nbr, cand, total
+            return None, total
+        return _reduce_min(nbr[improving], cand[improving]), total
 
-    try:
+    with _ShardedRounds(workers) as runner:
         while r < h and frontier.shape[0]:
             r += 1
-            if nw > 1 and frontier.shape[0] >= 2 * PAR_MIN_SHARD:
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=nw)
-                shards = shard_frontier(frontier, nw, PAR_MIN_SHARD)
-                parts = list(pool.map(_gather_shard, shards))
-                total = sum(p[2] for p in parts)
-                kept = [p for p in parts if p[0] is not None]
-                if not kept:
-                    win_v = None
-                elif len(kept) == 1:
-                    win_v, win_d = kept[0][:2]
-                else:
-                    win_v, win_d = _reduce_min(
-                        np.concatenate([p[0] for p in kept]),
-                        np.concatenate([p[1] for p in kept]),
-                    )
-            else:
-                win_v, win_d, total = _gather_shard(frontier)
+            win, total = runner.map(_gather_hop_shard, frontier, _reduce_min)
             round_arcs.append(total)
-            if win_v is None:
+            if win is None:
                 frontier = np.empty(0, dtype=np.int64)
                 break
             # all writes on the coordinating thread, after every shard's
             # snapshot reads: the round stays synchronous
+            win_v, win_d = win
             dist[win_v] = win_d
             hops[win_v] = r
             frontier = win_v
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     return dist, hops, round_arcs, frontier
 
@@ -445,20 +453,8 @@ def bucket_sssp_batch(
     single = k == 1  # composite id == vertex id: skip tag arithmetic
     nn = k * n
 
-    nw = effective_workers(workers, oversubscribe=True)
-    # process shard mode: the mutable state the forked workers read
-    # (labels + the frontier scratch) must live in fork-shared mmaps,
-    # decided before the first label write
-    use_procs = nw > 1 and get_shard_mode() == "process" and fork_available()
-    if use_procs:
-        dist = shared_empty(nn, dtype)
-        dist[:] = inf
-        rank = shared_empty(nn, np.int64)
-        rank[:] = np.iinfo(np.int64).max
-        scratch = shared_empty(nn, np.int64)
-    else:
-        dist = np.full(nn, inf, dtype=dtype)
-        rank = np.full(nn, np.iinfo(np.int64).max, dtype=np.int64)
+    dist = np.full(nn, inf, dtype=dtype)
+    rank = np.full(nn, np.iinfo(np.int64).max, dtype=np.int64)
     parent = np.full(nn, -1, dtype=np.int64)
     owner = np.full(nn, -1, dtype=np.int64)
     settled = np.zeros(nn, dtype=bool)
@@ -469,17 +465,7 @@ def bucket_sssp_batch(
     w_const = None
     if weights.shape[0] and (weights == weights[0]).all():
         w_const = weights[0]
-    # executors are created lazily on the first shardable frontier:
-    # batched builders issue many engine calls whose frontiers never
-    # reach the shard threshold, and those must not pay pool/fork churn
-    pool: Optional[ThreadPoolExecutor] = None
-    ppool: Optional[ForkShardPool] = None
-    # adjacency registry for process-mode tasks: a tiny id crosses the
-    # pipe instead of arrays (0 = full CSR, 1/2 = light/heavy split)
-    adjacencies = {0: (indptr, indices, weights)}
-    if light_heavy is not None:
-        adjacencies[1] = light_heavy[:3]
-        adjacencies[2] = light_heavy[3:]
+    runner = _ShardedRounds(workers)
 
     def _claim(
         nbr: np.ndarray, src: np.ndarray, cand: np.ndarray
@@ -501,16 +487,16 @@ def bucket_sssp_batch(
         xidx: np.ndarray,
         xw: np.ndarray,
         wc: Optional[float],
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int]:
-        """Claim-reduced improving candidates out of one contiguous
-        frontier shard, against the pre-round label snapshot.  Pure
-        reads — the GIL-releasing half of a relaxation round."""
+    ) -> RoundResult:
+        """Claim-reduced improving candidates ``(nbr, src, cand)`` out of
+        one contiguous frontier shard, against the pre-round label
+        snapshot.  Pure reads — the GIL-releasing half of a round."""
         vv = shard if single else shard % n
         starts = xip[vv]
         counts = xip[vv + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            return None, None, None, 0
+            return None, 0
         arc_off = np.repeat(np.cumsum(counts) - counts, counts)
         arc_idx = (
             np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
@@ -526,18 +512,8 @@ def bucket_sssp_batch(
             cand = dist[arc_src] + xw[arc_idx]
         improving = cand < dist[nbr]
         if not improving.any():
-            return None, None, None, total
-        nbr, src, cand = _claim(nbr[improving], arc_src[improving], cand[improving])
-        return nbr, src, cand, total
-
-    def _proc_gather(
-        adj_id: int, lo: int, hi: int, wc: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int]:
-        """Worker-side shard gather (runs in a forked child): the shard
-        is read from the fork-shared scratch buffer, the adjacency from
-        the fork-inherited snapshot, labels from the shared mmaps."""
-        xip, xidx, xw = adjacencies[adj_id]
-        return _gather_shard(scratch[lo:hi], xip, xidx, xw, wc)
+            return None, total
+        return _claim(nbr[improving], arc_src[improving], cand[improving]), total
 
     def _relax_round(
         frontier: np.ndarray,
@@ -545,51 +521,15 @@ def bucket_sssp_batch(
         xidx: np.ndarray,
         xw: np.ndarray,
         wc: Optional[float] = None,
-        adj_id: int = 0,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
         """One claim-resolved relaxation of ``frontier`` over the
-        sub-adjacency ``(xip, xidx, xw)``, sharded across the thread
-        pool (or the forked shard workers in process mode) when the
-        frontier is big enough.  Updates the label arrays in place;
-        returns ``(win_v, win_d, arcs)`` with ``win_v=None`` when
+        sub-adjacency ``(xip, xidx, xw)``.  Updates the label arrays in
+        place; returns ``(win_v, win_d, arcs)`` with ``win_v=None`` when
         nothing improved."""
-        nonlocal pool, ppool
-        if nw > 1 and frontier.shape[0] >= 2 * PAR_MIN_SHARD:
-            shards = shard_frontier(frontier, nw, PAR_MIN_SHARD)
-            if use_procs:
-                if ppool is None:
-                    # fork *now*: children inherit the CSR snapshot and
-                    # this closure; post-fork label writes reach them
-                    # through the shared mmaps only
-                    ppool = ForkShardPool(nw, _proc_gather)
-                scratch[: frontier.shape[0]] = frontier
-                tasks, lo = [], 0
-                for s in shards:
-                    tasks.append((adj_id, lo, lo + s.shape[0], wc))
-                    lo += s.shape[0]
-                parts = ppool.map(tasks)
-            else:
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=nw)
-                parts = list(
-                    pool.map(lambda s: _gather_shard(s, xip, xidx, xw, wc), shards)
-                )
-            total = sum(p[3] for p in parts)
-            kept = [p for p in parts if p[0] is not None]
-            if not kept:
-                return None, None, total
-            if len(kept) == 1:
-                win_v, win_p, win_d = kept[0][:3]
-            else:
-                win_v, win_p, win_d = _claim(
-                    np.concatenate([p[0] for p in kept]),
-                    np.concatenate([p[1] for p in kept]),
-                    np.concatenate([p[2] for p in kept]),
-                )
-        else:
-            win_v, win_p, win_d, total = _gather_shard(frontier, xip, xidx, xw, wc)
-            if win_v is None:
-                return None, None, total
+        win, total = runner.map(_gather_shard, frontier, _claim, xip, xidx, xw, wc)
+        if win is None:
+            return None, None, total
+        win_v, win_p, win_d = win
         dist[win_v] = win_d
         parent[win_v] = win_p if single else win_p % n
         owner[win_v] = owner[win_p]
@@ -615,7 +555,7 @@ def bucket_sssp_batch(
         rank[cs] = rk_s
         pending.append(cs)
 
-    try:
+    with runner:
         while pending:
             if len(pending) == 1:
                 # single pending array: already duplicate-free (winner
@@ -653,9 +593,7 @@ def bucket_sssp_batch(
                     rounds += 1
                     settled[frontier] = True
                     member_chunks.append(frontier)
-                    win_v, win_d, arcs = _relax_round(
-                        frontier, lip, lidx, lw, adj_id=1
-                    )
+                    win_v, win_d, arcs = _relax_round(frontier, lip, lidx, lw)
                     work += max(arcs, int(frontier.shape[0]))
                     if win_v is None:
                         break
@@ -672,9 +610,7 @@ def bucket_sssp_batch(
                     # heavy candidates land at >= hi, so one pass settles
                     # the bucket's heavy arcs for good
                     rounds += 1
-                    win_v, win_d, arcs = _relax_round(
-                        members, hip, hidx, hw, adj_id=2
-                    )
+                    win_v, win_d, arcs = _relax_round(members, hip, hidx, hw)
                     work += max(arcs, int(members.shape[0]))
                     if win_v is not None:
                         pending.append(win_v)
@@ -699,10 +635,5 @@ def bucket_sssp_batch(
                     pending.append(win_v[~stay])
             bucket_work.append(work)
             bucket_rounds.append(rounds)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-        if ppool is not None:
-            ppool.shutdown()
 
     return dist, parent, owner, settled, bucket_work, bucket_rounds

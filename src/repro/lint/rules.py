@@ -320,23 +320,17 @@ class NoSharedWriteInWorkerRule(Rule):
         defs = func_defs(ctx.tree)
         submitted: List[Tuple[str, ast.AST]] = []  # (fn name, call site)
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn_arg: Optional[ast.AST] = None
-            if isinstance(node.func, ast.Attribute) and node.func.attr in (
-                "submit",
-                "map",
+            # executor.submit(fn, ...) / pool.map(fn, shards) and the
+            # kernels' runner.map(gather, frontier, ...): skip the
+            # builtin map (a Name call, not an Attribute)
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("submit", "map")
+                and node.args
             ):
-                # executor.submit(fn, ...) / pool.map(fn, shards): skip
-                # the builtin map (a Name call, not an Attribute)
-                if node.args:
-                    fn_arg = node.args[0]
-            elif isinstance(node.func, ast.Name) and node.func.id == "ForkShardPool":
-                if len(node.args) >= 2:
-                    fn_arg = node.args[1]
-            elif isinstance(node.func, ast.Name) and node.func.id == "parallel_map":
-                if node.args:
-                    fn_arg = node.args[0]
+                continue
+            fn_arg = node.args[0]
             if isinstance(fn_arg, ast.Name):
                 submitted.append((fn_arg.id, node))
             elif isinstance(fn_arg, ast.Lambda):

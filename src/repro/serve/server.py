@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.checkpoint import graph_fingerprint
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.hopsets.result import HopsetResult, RepairStructure
@@ -401,8 +402,11 @@ class DistanceServer:
 def save_hopset(hopset: HopsetResult, path: str) -> None:
     """Persist a hopset's edges (npz) so serving never rebuilds.
 
-    A repair structure, when present, rides along — a reloaded hopset
-    then still supports :meth:`DistanceServer.apply_updates`.
+    The file is stamped with its graph's
+    :func:`~repro.checkpoint.graph_fingerprint`, which
+    :func:`load_hopset` checks.  A repair structure, when present, rides
+    along — a reloaded hopset then still supports
+    :meth:`DistanceServer.apply_updates`.
     """
     extra: Dict[str, np.ndarray] = {}
     if hopset.structure is not None:
@@ -411,6 +415,7 @@ def save_hopset(hopset: HopsetResult, path: str) -> None:
     np.savez(
         path,
         n=np.int64(hopset.graph.n),
+        graph_fingerprint=np.array(graph_fingerprint(hopset.graph)),
         eu=hopset.eu,
         ev=hopset.ev,
         ew=hopset.ew,
@@ -421,12 +426,24 @@ def save_hopset(hopset: HopsetResult, path: str) -> None:
 
 
 def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
-    """Rehydrate a saved hopset against its graph (n must match)."""
+    """Rehydrate a saved hopset against its graph.
+
+    ``n`` must match, and so must the graph fingerprint the file was
+    stamped with — a hopset of another graph would otherwise be served
+    as exact.  Files written before the stamp existed are checked on
+    ``n`` alone.
+    """
     with np.load(path, allow_pickle=False) as z:
         n = int(z["n"])
         if n != graph.n:
             raise ParameterError(
                 f"hopset file {path} was built for n={n}, graph has n={graph.n}"
+            )
+        stamp = z["graph_fingerprint"] if "graph_fingerprint" in z.files else None
+        if stamp is not None and str(stamp) != graph_fingerprint(graph):
+            raise ParameterError(
+                f"hopset file {path} was built for a different graph "
+                "(fingerprint mismatch)"
             )
         meta = json.loads(str(z["meta"]))
         structure = None

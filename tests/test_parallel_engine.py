@@ -6,10 +6,9 @@ Covers the hypothesis equivalence ``workers=1`` vs ``workers=4``
 thread-count independence of the tie-break reduction, the numba batch
 wrapper's routing into the ``prange``-parallel cores (compiled in the
 numba CI job, pure-Python stubs elsewhere), the degenerate-batch
-accounting rules, and the parallel_map fan-out guard.
+accounting rules, and the worker policy.
 """
 
-import os
 import warnings
 
 import numpy as np
@@ -25,16 +24,10 @@ from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.kernels.numpy_kernel import INT_INF, split_light_heavy
 from repro.parallel import (
     DEFAULT_WORKERS,
-    ForkShardPool,
     effective_workers,
-    fork_available,
     get_default_workers,
-    get_shard_mode,
-    parallel_map,
     set_default_workers,
-    set_shard_mode,
     shard_frontier,
-    shared_empty,
 )
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.pram import PramTracker
@@ -281,74 +274,9 @@ class TestNumbaWarnOnce:
             shortest_paths(g, 0, backend="numba")
 
 
-class _FakePool:
-    """Records the fan-out geometry instead of forking."""
-
-    last = None
-
-    def __init__(self, max_workers):
-        type(self).last = self
-        self.max_workers = max_workers
-        self.chunksize = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        self.chunksize = chunksize
-        return [fn(x) for x in items]
-
-
-class TestPoolFanOutGuard:
-    """The parallel_map guard must scale with the *effective* worker
-    count: a 16-core box may not fork a full pool for 5 items."""
-
-    @pytest.fixture(autouse=True)
-    def _fake_16_cores(self, monkeypatch):
-        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 16)
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", _FakePool)
-        _FakePool.last = None
-
-    def test_small_input_stays_serial_on_many_cores(self):
-        # the old guard compared against min_items_per_worker * 2 and
-        # would have forked here
-        out = parallel_map(lambda x: x * 2, list(range(5)), workers=16)
-        assert out == [0, 2, 4, 6, 8]
-        assert _FakePool.last is None
-
-    def test_fan_out_uses_effective_worker_chunks(self):
-        items = list(range(64))
-        out = parallel_map(lambda x: x + 1, items, workers=16)
-        assert out == [x + 1 for x in items]
-        assert _FakePool.last is not None
-        assert _FakePool.last.max_workers == 16
-        assert _FakePool.last.chunksize == 4  # ceil(64 / 16)
-
-    def test_chunksize_is_ceil_items_over_workers(self):
-        parallel_map(lambda x: x, list(range(33)), workers=16,
-                     min_items_per_worker=2)
-        assert _FakePool.last.max_workers == 16
-        assert _FakePool.last.chunksize == 3  # ceil(33 / 16)
-
-    def test_always_fork_knob(self):
-        # min_items_per_worker=0 means "fork whenever n > 1"
-        out = parallel_map(lambda x: x + 1, [1, 2], workers=16,
-                          min_items_per_worker=0)
-        assert out == [2, 3]
-        assert _FakePool.last is not None
-
-    def test_threshold_boundary(self):
-        parallel_map(lambda x: x, list(range(31)), workers=16,
-                     min_items_per_worker=2)
-        assert _FakePool.last is None  # 31 < 2 * 16 stays serial
-
-
 class TestHelpers:
     def test_effective_workers_oversubscribe(self):
-        avail = os.cpu_count() or 1
+        avail = pool_mod._available_cores()
         assert effective_workers(4) <= avail
         assert effective_workers(4, oversubscribe=True) == 4
         assert effective_workers(10**6, oversubscribe=True) == 64  # typo cap
@@ -406,150 +334,6 @@ class TestHopsetWorkers:
         assert "match" in capsys.readouterr().out
 
 
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
-
-
-@pytest.fixture
-def _process_mode():
-    prev = set_shard_mode("process")
-    yield
-    set_shard_mode(prev)
-
-
-class TestProcessShardMode:
-    """Fork-based shard workers: same shard plan, same claim merge —
-    labels AND ledgers bit-identical to thread mode and serial for any
-    worker count, in both weight regimes."""
-
-    @needs_fork
-    @SETTINGS
-    @given(engine_specs())
-    def test_single_run_process_bit_identical(self, spec):
-        g, sources, offsets, int_mode = spec
-        w = g.weights.astype(np.int64) if int_mode else None
-        serial = shortest_paths(g, sources, offsets=offsets, weights=w, workers=1)
-        prev = set_shard_mode("process")
-        try:
-            forked = shortest_paths(
-                g, sources, offsets=offsets, weights=w, workers=4
-            )
-        finally:
-            set_shard_mode(prev)
-        _assert_same_result(serial, forked)
-
-    @needs_fork
-    @SETTINGS
-    @given(engine_specs())
-    def test_batch_process_bit_identical(self, spec):
-        g, sources, offsets, int_mode = spec
-        w = g.weights.astype(np.int64) if int_mode else None
-        runs = [np.asarray([s]) for s in sources] + [sources]
-        offs = [np.asarray([o]) for o in offsets] + [offsets]
-        serial = shortest_paths_batch(g, runs, offs, weights=w, workers=1)
-        prev = set_shard_mode("process")
-        try:
-            forked = shortest_paths_batch(g, runs, offs, weights=w, workers=4)
-        finally:
-            set_shard_mode(prev)
-        _assert_same_result(serial, forked)
-
-    @needs_fork
-    @pytest.mark.parametrize("nw", [2, 3, 5, 8])
-    def test_any_worker_count_same_labels_and_ledger(self, _process_mode, nw):
-        g = _float_graph(150, 600, seed=43)
-        offs = np.random.default_rng(44).exponential(2.0, g.n)
-        t_ser, t_proc = PramTracker(n=g.n), PramTracker(n=g.n)
-        set_shard_mode("thread")
-        serial = shortest_paths(g, np.arange(g.n), offsets=offs,
-                                tracker=t_ser, workers=1)
-        set_shard_mode("process")
-        forked = shortest_paths(g, np.arange(g.n), offsets=offs,
-                                tracker=t_proc, workers=nw)
-        _assert_same_result(serial, forked)
-        assert (t_ser.work, t_ser.rounds, t_ser.depth) == (
-            t_proc.work, t_proc.rounds, t_proc.depth)
-
-    @needs_fork
-    def test_process_equals_thread_mode(self, _process_mode):
-        g = _int_graph(200, 800, seed=47)
-        w = g.weights.astype(np.int64)
-        set_shard_mode("thread")
-        threaded = shortest_paths(g, np.arange(30), weights=w, workers=3)
-        set_shard_mode("process")
-        forked = shortest_paths(g, np.arange(30), weights=w, workers=3)
-        _assert_same_result(threaded, forked)
-
-    @needs_fork
-    def test_tie_break_survives_forked_shards(self, _process_mode):
-        # the star tie of TestTieBreakDeterminism, across processes
-        edges = [(i, 60) for i in range(60)]
-        g = from_edges(61, edges)
-        sources = np.arange(59, -1, -1, dtype=np.int64)
-        for nw in (2, 4, 7):
-            res = shortest_paths(g, sources, workers=nw)
-            assert res.owner[60] == 59 and res.dist[60] == 1
-
-    def test_workers_one_never_forks(self, _process_mode, monkeypatch):
-        # forking is only legal past the shard threshold with nw > 1
-        def boom(*a, **k):
-            raise AssertionError("ForkShardPool constructed for workers=1")
-
-        monkeypatch.setattr(npk, "ForkShardPool", boom)
-        g = _float_graph(100, 400, seed=53)
-        res = shortest_paths(g, np.arange(g.n), workers=1)
-        assert np.isfinite(res.dist).all()
-
-    def test_fork_unavailable_falls_back_to_threads(self, _process_mode,
-                                                    monkeypatch):
-        monkeypatch.setattr(npk, "fork_available", lambda: False)
-
-        def boom(*a, **k):
-            raise AssertionError("forked despite fork_available() == False")
-
-        monkeypatch.setattr(npk, "ForkShardPool", boom)
-        g = _float_graph(100, 400, seed=59)
-        serial = shortest_paths(g, np.arange(g.n), workers=1)
-        fallback = shortest_paths(g, np.arange(g.n), workers=4)
-        _assert_same_result(serial, fallback)
-
-    def test_shard_mode_validation(self):
-        assert get_shard_mode() in ("thread", "process")
-        with pytest.raises(ValueError):
-            set_shard_mode("coroutine")
-
-    @needs_fork
-    def test_fork_shard_pool_contract(self):
-        state = shared_empty(8, np.int64)
-        state[:] = np.arange(8)
-
-        def double_slice(lo, hi):
-            return state[lo:hi] * 2
-
-        with ForkShardPool(2, double_slice) as pool:
-            assert pool.workers == 2
-            a, b = pool.map([(0, 4), (4, 8)])
-            assert np.array_equal(a, [0, 2, 4, 6])
-            assert np.array_equal(b, [8, 10, 12, 14])
-            # post-fork writes to the shared mmap are visible
-            state[:] = 1
-            a, b = pool.map([(0, 4), (4, 8)])
-            assert np.array_equal(a, [2, 2, 2, 2])
-            with pytest.raises(ValueError, match="tasks for"):
-                pool.map([(0, 1)] * 3)
-        pool.shutdown()  # idempotent
-
-    @needs_fork
-    def test_fork_shard_pool_relays_worker_errors(self):
-        def fail(tag):
-            raise KeyError(f"bad {tag}")
-
-        with ForkShardPool(1, fail) as pool:
-            with pytest.raises(RuntimeError, match="KeyError.*bad x"):
-                pool.map([("x",)])
-
-
 class TestWorkersDefaultPolicy:
     """Every ``workers=`` knob defaults to the DEFAULT_WORKERS sentinel,
     resolved through the session policy — so engine calls issued deep
@@ -567,14 +351,14 @@ class TestWorkersDefaultPolicy:
         set_default_workers(6)
         assert effective_workers(DEFAULT_WORKERS, oversubscribe=True) == 6
         set_default_workers(None)  # "all cores"
-        assert effective_workers(DEFAULT_WORKERS) == (os.cpu_count() or 1)
+        assert effective_workers(DEFAULT_WORKERS) == pool_mod._available_cores()
         with pytest.raises(ValueError):
             set_default_workers(0)
 
     def test_explicit_workers_override_policy(self):
         set_default_workers(8)
         assert effective_workers(2, oversubscribe=True) == 2
-        assert effective_workers(None) == (os.cpu_count() or 1)
+        assert effective_workers(None) == pool_mod._available_cores()
 
     def test_policy_reaches_engine_defaults(self, monkeypatch):
         seen = []

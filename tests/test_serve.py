@@ -106,15 +106,36 @@ class TestFrontierKernel:
         # every hop executed exactly once across the two calls
         assert len(ra1) + len(ra2) == len(gra)
 
-    def test_workers_identical(self):
+    def test_workers_identical(self, monkeypatch):
+        import repro.kernels.numpy_kernel as npk
+
+        # force the sharded round on these 480 composite states (the
+        # production threshold exists to amortize thread overhead) and
+        # count the rounds that really shard
+        monkeypatch.setattr(npk, "PAR_MIN_SHARD", 4)
+        sharded = []
+        real_shard = npk.shard_frontier
+
+        def spy(frontier, parts, min_size=1):
+            shards = real_shard(frontier, parts, min_size)
+            sharded.append(len(shards))
+            return shards
+
+        monkeypatch.setattr(npk, "shard_frontier", spy)
         g = _random_weighted(80, 240, seed=9)
         indptr, indices, w = arcset_to_csr(arcs_from_graph(g))
         runs = np.arange(6)
         a = hop_sssp_batch(indptr, indices, w, g.n, runs, np.arange(7), 30, workers=1)
-        b = hop_sssp_batch(indptr, indices, w, g.n, runs, np.arange(7), 30, workers=4)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-        assert a[2] == b[2]
+        assert not sharded
+        for nw in (2, 3, 5):
+            b = hop_sssp_batch(
+                indptr, indices, w, g.n, runs, np.arange(7), 30, workers=nw
+            )
+            assert max(sharded) == nw
+            sharded.clear()
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])
+            assert a[2] == b[2]
 
     def test_multi_source_run(self):
         g = _random_weighted(40, 100, seed=3)
@@ -335,6 +356,27 @@ class TestPersistenceAndCLI:
         other = grid_graph(3, 3)
         with pytest.raises(ParameterError, match="built for"):
             load_hopset(other, path)
+
+    def test_load_same_n_other_edges_rejected(self, served, tmp_path):
+        g, hs = served
+        path = str(tmp_path / "hs.npz")
+        save_hopset(hs, path)
+        other = _random_weighted(g.n, 360, seed=6)
+        assert other.n == g.n
+        with pytest.raises(ParameterError, match="different graph"):
+            load_hopset(other, path)
+
+    def test_unstamped_file_still_loads(self, served, tmp_path):
+        # a file written before the fingerprint stamp: n is all it has
+        g, hs = served
+        path = str(tmp_path / "hs.npz")
+        save_hopset(hs, path)
+        with np.load(path) as z:
+            fields = {k: z[k] for k in z.files if k != "graph_fingerprint"}
+        np.savez(path, **fields)
+        hs2 = load_hopset(g, path)
+        assert np.array_equal(hs2.eu, hs.eu)
+        assert np.array_equal(hs2.ew, hs.ew)
 
     def test_cli_build_then_load(self, tmp_path, capsys):
         from repro.graph.io import save_edgelist
